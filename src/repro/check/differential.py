@@ -322,14 +322,17 @@ def run_case(
     the declarations never promised.
 
     ``batched`` arms the fourth execution plane: the same packet stream
-    runs through :class:`~repro.dataplane.batched.BatchedDataplane`
-    (batch classification, SoA metadata words, precompiled closures) and
+    runs through :class:`~repro.dataplane.batched.BatchedDataplane` and
     must be byte-identical to the functional plane
     (``batched-byte-mismatch`` / ``batched-drop-mismatch``) with a
     well-formed metadata word per emitted packet.  With the DES plane
     included, the PID|version bits of each emitted word must also equal
     the DES word for that ident (``batched-meta-mismatch``) -- the MIDs
     legitimately differ, since each plane deploys in its own namespace.
+    Both planes run the same bound closures, so this axis checks what
+    batching adds: 7-packet batches put boundaries inside every case,
+    and a two-entry flow cache makes the per-batch memo and LRU
+    eviction run throughout.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -445,7 +448,8 @@ def run_case(
         from ..dataplane.batched import BatchedDataplane
 
         plane = BatchedDataplane(
-            graph, scale=instances if instances > 1 else None)
+            graph, scale=instances if instances > 1 else None,
+            batch_size=7, flow_cache_size=2)
         outputs = plane.process_many([spec.build() for spec in case.packets])
         bat_out: Dict[int, Optional[bytes]] = {}
         bat_meta_error: Optional[str] = None

@@ -1,21 +1,20 @@
 """Install-time compilation of service graphs into action closures.
 
-The functional plane re-walks the graph object model for every packet:
-stage list, copy-spec scan, per-entry label resolution, dict churn.  For
-the batched plane (:mod:`repro.dataplane.batched`) that walk is done
-*once per install*: :class:`CompiledGraph` flattens the FT/MO table walk
-into per-stage program tuples, and :meth:`CompiledGraph.bind` closes the
-program over a concrete set of NF instances so the per-packet inner loop
-is a single call on a prebound Python closure.
+:class:`CompiledGraph` is the only executor of NFP's graph semantics
+(§4.1): copy at stage entry, stage barrier, deferred nil, merge.  It
+flattens the FT/MO table walk into per-stage program tuples once per
+install, and :meth:`CompiledGraph.bind` closes the program over a
+concrete set of NF instances so the per-packet inner loop is a single
+call on a prebound Python closure.  The functional, batched and
+multiserver planes all run bound closures; the independent oracles --
+:class:`~repro.dataplane.functional.SequentialReference` and the DES
+walk in :mod:`repro.dataplane.server` -- do not.
 
-The closure reproduces ``FunctionalDataplane.process`` semantics exactly
--- same copy order, same pre-stage buffer observation, same deferred nil
-propagation, same merge -- which the differential fuzzer's ``--batched``
-axis verifies byte-for-byte.  Strictly sequential graphs (the common
-case after forced-sequential policies) additionally take a fast path
-that skips the version dict entirely; for a single-version graph an NF
-drop makes every later stage a nil-skip and the merge return ``None``,
-so an early return is observationally identical.
+Strictly sequential graphs (the common case after forced-sequential
+policies) take a fast path that skips the version dict entirely; for a
+single-version graph an NF drop makes every later stage a nil-skip and
+the merge return ``None``, so an early return is observationally
+identical.
 """
 
 from __future__ import annotations
@@ -44,9 +43,11 @@ class CopyCounters:
 class CompiledGraph:
     """One service graph flattened into per-stage program tuples.
 
-    Built once at table-install time (:class:`ChainingManager` keeps one
-    per MID); holds no NF instances itself, so one compiled graph serves
-    every flow and every instance assignment of the deployment.
+    Built once per graph (:class:`ChainingManager` keeps one per MID at
+    table-install time; the functional plane and each multiserver stage
+    build their own); holds no NF instances itself, so one compiled
+    graph serves every flow and every instance assignment of the
+    deployment.
     """
 
     __slots__ = ("graph", "sequential", "merge_ops", "program", "chain")
@@ -75,19 +76,6 @@ class CompiledGraph:
             else ()
         )
 
-    def labels(
-        self, scale: Mapping[str, int], assignment: Mapping[str, int]
-    ) -> Tuple[str, ...]:
-        """Instance labels this flow resolves to, in graph order."""
-        out = []
-        for _, entries in self.program:
-            for name, _ in entries:
-                if scale.get(name, 1) == 1:
-                    out.append(name)
-                else:
-                    out.append(f"{name}#{assignment.get(name, 0)}")
-        return tuple(out)
-
     def bind(
         self,
         nfs: Mapping[str, object],
@@ -97,9 +85,10 @@ class CompiledGraph:
     ) -> BoundClosure:
         """Close the program over concrete NF instances for one flow.
 
-        ``nfs`` maps instance labels to NF objects (``handle`` method);
-        ``scale``/``assignment`` resolve each graph node to its label
-        exactly as the scalar planes do.  The returned closure is the
+        ``nfs`` maps instance labels to objects with a ``handle``
+        method (NFs, or the functional plane's fault gates);
+        ``scale``/``assignment`` resolve each graph node to its
+        ``name#k`` label as every plane does.  The returned closure is the
         whole per-packet hot path: no graph walk, no label resolution,
         no telemetry branches.
         """

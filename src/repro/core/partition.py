@@ -18,9 +18,16 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .graph import ServiceGraph, Stage
+from .graph import CopySpec, MergeOp, ORIGINAL_VERSION, ServiceGraph, Stage
 
-__all__ = ["ServerSlice", "partition_graph", "partition_at", "PartitionError"]
+__all__ = [
+    "ServerSlice",
+    "partition_graph",
+    "partition_at",
+    "PartitionError",
+    "slice_merge_ops",
+    "slice_subgraph",
+]
 
 #: Cores a server must reserve beyond NFs: classifier + merger (§6).
 _OVERHEAD_CORES = 2
@@ -55,6 +62,43 @@ class ServerSlice:
         )
 
 
+def slice_merge_ops(graph: ServiceGraph, server_slice: ServerSlice) -> List[MergeOp]:
+    """The merge operations whose source versions live in this slice.
+
+    Copy versions are stage-local, so each graph MO belongs to exactly
+    one slice -- the one holding the stage where its source version
+    runs.
+    """
+    local_versions = {
+        entry.version
+        for stage in server_slice.stages
+        for entry in stage
+        if entry.version != ORIGINAL_VERSION
+    }
+    return [op for op in graph.merge_ops if op.src_version in local_versions]
+
+
+def slice_subgraph(graph: ServiceGraph, server_slice: ServerSlice) -> ServiceGraph:
+    """A slice re-expressed as a standalone service graph.
+
+    Stage indices of copy specs are rebased to the slice; merge ops are
+    restricted to the slice's copy versions (v1 carries everything else
+    onward).
+    """
+    offset = graph.stages.index(server_slice.stages[0])
+    copies = [
+        CopySpec(c.stage_index - offset, c.version, c.header_only)
+        for c in graph.copies
+        if 0 <= c.stage_index - offset < len(server_slice.stages)
+    ]
+    return ServiceGraph(
+        server_slice.stages,
+        copies=copies,
+        merge_ops=slice_merge_ops(graph, server_slice),
+        name=f"{graph.name}[server{server_slice.server_index}]",
+    )
+
+
 def partition_at(graph: ServiceGraph, cuts: Sequence[int]) -> List[ServerSlice]:
     """Slice ``graph`` at explicit stage boundaries.
 
@@ -64,7 +108,7 @@ def partition_at(graph: ServiceGraph, cuts: Sequence[int]) -> List[ServerSlice]:
     they search over cut vectors instead of trusting the greedy
     first-fit of :func:`partition_graph`.  Slices reuse the graph's own
     :class:`~repro.core.graph.Stage` objects so
-    :func:`repro.multiserver.timed.slice_subgraph` can rebase them.
+    :func:`slice_subgraph` can rebase them.
     """
     bounds = sorted(set(cuts))
     if any(not 0 < cut < len(graph.stages) for cut in bounds):

@@ -1,8 +1,8 @@
 """Batched (vectorized) execution of service graphs.
 
 The hot-path refactor of the reproduction: where
-:class:`~repro.dataplane.functional.FunctionalDataplane` walks the graph
-object model per packet, this plane processes packet *batches* with
+:class:`~repro.dataplane.functional.FunctionalDataplane` drives one
+packet at a time, this plane processes packet *batches* with
 
 * **batch-wise classification** -- one CT/FT walk per new flow per
   batch: a batch-local memo sits in front of the shared LRU
@@ -10,20 +10,19 @@ object model per packet, this plane processes packet *batches* with
   burst cost one dict probe, and the full classify (5-tuple parse, CT
   lookup, RSS assignment, closure bind) runs only on a cold flow
   (``ct_walks`` counts those walks);
-* **struct-of-arrays metadata** -- the 64-bit MID|PID|version words live
-  in a flat :class:`~repro.net.metadata.MetaArray` indexed by batch
-  slot; a :class:`~repro.net.packet.PacketMeta` object is materialised
-  only for packets that actually leave the plane;
 * **precompiled action closures** -- the per-packet inner loop is one
   dict lookup plus one call of the
   :class:`~repro.core.closures.CompiledGraph` closure bound to the
   flow's NF instances at classification time.
 
-Semantics are byte-identical to the functional plane by construction
-(the closure reproduces its exact copy/stage/merge order) and verified
-continuously by the differential fuzzer's ``--batched`` axis.  PIDs are
-allocated per classified packet in arrival order, exactly like the DES
-classifier, so emitted metadata words agree with the timed plane too.
+Graph semantics are the functional plane's by construction (both run
+the same bound closures); the differential fuzzer's ``--batched`` axis
+exercises what batching adds -- batch boundaries, the per-batch memo
+and flow-cache eviction.  PIDs are allocated per classified packet in
+arrival order, exactly like the DES classifier, and a
+:class:`~repro.net.packet.PacketMeta` is stamped only on packets that
+leave the plane, so emitted metadata words agree with the timed plane
+too.
 
 Fault injection is out of scope here: the batched plane is the
 performance twin of the *healthy* functional semantics.
@@ -36,7 +35,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.tables import ClassificationTable, build_tables
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from ..net.metadata import MetaArray, pack_word
 from ..net.packet import Packet, PacketMeta
 from .chaining import ChainingManager
 from .flowsplit import FlowCache, FlowDecision, assign_instances, flow_key
@@ -48,7 +46,6 @@ __all__ = ["BatchedDataplane", "DEFAULT_BATCH_SIZE"]
 DEFAULT_BATCH_SIZE = 32
 
 _PID_MODULUS = 1 << PacketMeta.PID_BITS
-_PID_MASK = _PID_MODULUS - 1
 
 
 class BatchedDataplane:
@@ -87,12 +84,7 @@ class BatchedDataplane:
         from ..core.closures import CopyCounters
 
         self.counters = CopyCounters()
-        #: SoA metadata words for the batch in flight, by batch slot.
-        self.meta = MetaArray()
-        #: MID and version are constant for the plane's lifetime, so the
-        #: per-packet word is one shift+or over this template (validated
-        #: once here instead of per packet).
-        self._word_template = pack_word(mid, 0, ORIGINAL_VERSION)
+        PacketMeta(mid, 0, ORIGINAL_VERSION)  # fail fast on an out-of-range MID
         self._next_pid = 0
         #: Shared runner for keyless traffic (ICMP, fragments, non-IP):
         #: such packets pin to instance 0 everywhere, so one bound
@@ -168,19 +160,17 @@ class BatchedDataplane:
         arrival order equals injection order -- the same order every
         scalar plane observes.
         """
-        words = self.meta
-        words.clear()
-        append_word = words.words.append
         memo: Dict[object, Optional[FlowDecision]] = {}
         decisions: List[Optional[FlowDecision]] = []
         add_decision = decisions.append
+        pids: List[int] = []
+        add_pid = pids.append
         telemetry = self.telemetry
         count_pins = (
             self._scaled and telemetry is not None and telemetry.enabled
         )
         fast_key = self._fast_key
         decide = self._decide
-        template = self._word_template
         next_pid = self._next_pid
         no_match = 0
         for pkt in packets:
@@ -194,16 +184,15 @@ class BatchedDataplane:
                 memo[key] = decision
             if decision is None:
                 no_match += 1
-                append_word(0)
+                add_pid(0)
             else:
                 next_pid = (next_pid + 1) % _PID_MODULUS
-                append_word(template | (next_pid << 4))
+                add_pid(next_pid)
             add_decision(decision)
         self.processed += len(packets)
         self.no_match += no_match
         self._next_pid = next_pid
 
-        word_arr = words.words
         outputs: List[Optional[Packet]] = []
         emit = outputs.append
         mid = self.mid
@@ -218,11 +207,8 @@ class BatchedDataplane:
                 dropped += 1
                 emit(None)
             else:
-                # Materialise the PacketMeta straight from the SoA word;
-                # version is always 1 here (the classifier's stamp) and
-                # the runner already merged every copy back down.
-                merged.meta = PacketMeta(
-                    mid, (word_arr[index] >> 4) & _PID_MASK, 1)
+                # The runner already merged every copy back into v1.
+                merged.meta = PacketMeta(mid, pids[index], ORIGINAL_VERSION)
                 emitted += 1
                 emit(merged)
         self.emitted += emitted

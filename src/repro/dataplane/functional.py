@@ -2,15 +2,17 @@
 
 Runs a compiled :class:`~repro.core.graph.ServiceGraph` over real packet
 bytes with full NFP semantics -- versions, header-only copies, stage
-barriers, nil propagation, merging -- but no clock.  This is the
-reference the *result correctness principle* (§4.1) is verified against:
-for any policy, ``FunctionalDataplane`` output must be byte-identical to
+barriers, nil propagation, merging -- but no clock.  The semantics
+themselves live in one place, :class:`~repro.core.closures.CompiledGraph`;
+this plane is a thin driver around a bound closure, and it is checked
+against the *result correctness principle* (§4.1): for any policy,
+``FunctionalDataplane`` output must be byte-identical to
 :class:`SequentialReference` output over the original chain (§6.4's
 replay experiment).
 
 The timed DES dataplane (:mod:`repro.dataplane.server`) shares the same
-NF objects and merge code; this module is the semantics, that one adds
-queueing and service times.
+NF objects and merge code but walks the graph itself, as distributed
+runtimes and mergers; it adds queueing and service times.
 
 Scaled graphs (§7) execute here too: pass ``scale`` (a uniform int or a
 name -> count mapping) and each replicated NF gets per-instance objects
@@ -24,14 +26,17 @@ ground truth: N independent sequential chains fed by the same split.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.graph import ORIGINAL_VERSION, ServiceGraph
+from ..core.closures import BoundClosure, CompiledGraph
+from ..core.graph import ServiceGraph
 from ..faults import FaultInjector, HealthBoard
-from ..net.packet import HEADER_COPY_BYTES, Packet
-from ..nfs.base import NetworkFunction
+from ..net.packet import Packet
+from ..nfs.base import NetworkFunction, ProcessingContext, create_nf
 from .flowsplit import assign_instances, flow_key, rss_instance
-from .merging import apply_merge_ops
+# Unused here: the wall-clock tracer (perfbench/layers.py) patches this
+# module attribute by name.
+from .merging import apply_merge_ops  # noqa: F401
 
 __all__ = [
     "FunctionalDataplane",
@@ -72,8 +77,6 @@ def instantiate_nfs(
     DES server and telemetry use).  Extra kwargs are forwarded to every
     constructor.
     """
-    from ..nfs.base import create_nf
-
     counts = _normalize_scale(graph, scale)
     instances: Dict[str, NetworkFunction] = {}
     for node in graph.nodes():
@@ -87,8 +90,50 @@ def instantiate_nfs(
     return instances
 
 
+class _InstanceGate:
+    """Fault-gated stand-in for one NF instance, bound in its place.
+
+    Consulted before each NF application on fault runs.  A dead/hung
+    instance drops the version (nil) instead of serving it; with
+    replicas left, later flows rehash onto healthy instances; with none
+    left, the instance restarts fresh (its per-flow state is lost -- the
+    semantics failover degrades to, and what fuzzing measures the blast
+    radius of).  The NF is looked up in ``plane.nfs`` at call time, so a
+    restarted NF is the one served.
+    """
+
+    __slots__ = ("plane", "name", "kind", "index", "label")
+
+    def __init__(self, plane: "FunctionalDataplane", name: str, kind: str,
+                 index: int, label: str):
+        self.plane = plane
+        self.name = name
+        self.kind = kind
+        self.index = index
+        self.label = label
+
+    def handle(self, pkt: Packet) -> ProcessingContext:
+        plane = self.plane
+        label = self.label
+        state = plane.injector.on_packet(label, float(plane.processed))
+        if not state.down:
+            return plane.nfs[label].handle(pkt)
+        plane.drop_reasons["instance_down"] = (
+            plane.drop_reasons.get("instance_down", 0) + 1)
+        if not plane.health.mark_down(self.name, self.index):
+            # The group's last healthy instance: the untimed plane has
+            # no parked process, so reviving in place is safe here.
+            plane.nfs[label] = create_nf(self.kind, name=label)
+            plane.restarts += 1
+            plane.injector.revive(label)
+            plane.health.mark_up(self.name, self.index)
+        ctx = ProcessingContext()
+        ctx.drop("instance_down")
+        return ctx
+
+
 class FunctionalDataplane:
-    """Synchronous executor with NFP's exact packet semantics."""
+    """Synchronous driver of one graph's bound :class:`CompiledGraph`."""
 
     def __init__(
         self,
@@ -121,12 +166,8 @@ class FunctionalDataplane:
         self.processed = 0
         self.emitted = 0
         self.dropped = 0
-        #: Optional fault injector: instance health is consulted before
-        #: each NF application.  Down instances drop the version (nil)
-        #: instead of serving it; with replicas left, later flows rehash
-        #: onto healthy instances; with none left, the instance restarts
-        #: fresh (its per-flow state is lost -- the semantics failover
-        #: degrades to, and what fuzzing measures the blast radius of).
+        #: Optional fault injector: with one, every instance label binds
+        #: to an :class:`_InstanceGate` instead of the NF itself.
         self.injector = injector
         self.health = HealthBoard()
         for name, count in self.scale.items():
@@ -134,6 +175,22 @@ class FunctionalDataplane:
         #: reason -> packet count for faulted drops (conservation report).
         self.drop_reasons: Dict[str, int] = {}
         self.restarts = 0
+        if injector is None:
+            self._targets: Mapping[str, object] = self.nfs
+        else:
+            self._targets = {
+                label: _InstanceGate(self, node.name, node.kind, index, label)
+                for node in graph.nodes()
+                for index, label in enumerate(self._labels(node.name))
+            }
+        self._compiled = CompiledGraph(graph)
+        #: Bound closures keyed by the flow's assigned instance indices
+        #: (one per scaled NF, in ``_scaled`` order): at most the
+        #: product of the instance counts.  An unscaled graph has the
+        #: single key ``()``, bound here once.
+        self._runners: Dict[Tuple[int, ...], BoundClosure] = {}
+        if not self._scaled:
+            self._runners[()] = self._compiled.bind(self._targets, self.scale, {})
 
     def _labels(self, name: str) -> List[str]:
         count = self.scale[name]
@@ -141,88 +198,26 @@ class FunctionalDataplane:
             return [name]
         return [f"{name}#{k}" for k in range(count)]
 
-    def _nf(self, name: str, assignment: Mapping[str, int]) -> NetworkFunction:
-        if self.scale[name] == 1:
-            return self.nfs[name]
-        return self.nfs[f"{name}#{assignment.get(name, 0)}"]
-
-    def _instance_down(self, entry, label: str, index: int) -> bool:
-        """Health gate before one NF application (fault runs only).
-
-        Returns True when the instance is dead/hung and the version must
-        drop.  When the casualty was the group's last healthy instance
-        it is restarted immediately with a fresh NF object (per-flow
-        state lost) -- the untimed plane has no parked process, so
-        reviving in place is safe here.
-        """
-        injector = self.injector
-        state = injector.on_packet(label, float(self.processed))
-        if not state.down:
-            return False
-        name = entry.node.name
-        remaining = self.health.mark_down(name, index)
-        if not remaining:
-            from ..nfs.base import create_nf
-
-            self.nfs[label] = create_nf(entry.node.kind, name=label)
-            self.restarts += 1
-            injector.revive(label)
-            self.health.mark_up(name, index)
-        return True
+    def _runner(self, pkt: Packet) -> BoundClosure:
+        """The closure bound to ``pkt``'s flow's instance assignment."""
+        assignment = assign_instances(
+            flow_key(pkt), self._scaled,
+            healthy=self.health.view() if self.injector else None,
+            telemetry=self.telemetry)
+        key = tuple(assignment.get(name, 0) for name in self._scaled)
+        runner = self._runners.get(key)
+        if runner is None:
+            runner = self._runners[key] = self._compiled.bind(
+                self._targets, self.scale, assignment)
+        return runner
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         """Run one packet through the graph; ``None`` means dropped."""
         self.processed += 1
         if self.sampler is not None:
             self.sampler.maybe_tick(time.monotonic() * 1e6)
-        assignment = (
-            assign_instances(
-                flow_key(pkt), self._scaled,
-                healthy=self.health.view() if self.injector else None,
-                telemetry=self.telemetry)
-            if self._scaled else {}
-        )
-        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
-
-        for stage_index, stage in enumerate(self.graph.stages):
-            # Copies scheduled at this stage's entry (from current v1).
-            for copy in self.graph.copies:
-                if copy.stage_index != stage_index:
-                    continue
-                base = versions[ORIGINAL_VERSION]
-                if base.nil:
-                    versions[copy.version] = base.make_nil()
-                elif copy.header_only:
-                    versions[copy.version] = base.header_copy(
-                        copy.version, HEADER_COPY_BYTES
-                    )
-                else:
-                    versions[copy.version] = base.full_copy(copy.version)
-
-            # All NFs of the stage observe the pre-stage buffers; drops
-            # take effect only after the stage (parallel semantics).
-            newly_dropped: List[int] = []
-            for entry in stage:
-                buffer = versions[entry.version]
-                if buffer.nil:
-                    continue
-                name = entry.node.name
-                index = (0 if self.scale[name] == 1
-                         else assignment.get(name, 0))
-                label = name if self.scale[name] == 1 else f"{name}#{index}"
-                if (self.injector is not None
-                        and self._instance_down(entry, label, index)):
-                    self.drop_reasons["instance_down"] = (
-                        self.drop_reasons.get("instance_down", 0) + 1)
-                    newly_dropped.append(entry.version)
-                    continue
-                ctx = self.nfs[label].handle(buffer)
-                if ctx.dropped:
-                    newly_dropped.append(entry.version)
-            for version in newly_dropped:
-                versions[version] = versions[version].make_nil()
-
-        merged = apply_merge_ops(versions, self.graph.merge_ops)
+        runner = self._runner(pkt) if self._scaled else self._runners[()]
+        merged = runner(pkt)
         if merged is None:
             self.dropped += 1
         else:

@@ -8,14 +8,15 @@ NFP metadata.
 """
 
 from .nsh import NSH_LEN, NshTag, decapsulate, encapsulate, has_nsh
-from .dataplane import MultiServerDataplane, ServerStage, slice_merge_ops
+from ..core.partition import slice_merge_ops, slice_subgraph
+from .dataplane import MultiServerDataplane, ServerStage
 from .latency import (
     CrossServerLatency,
     estimate_cross_server_latency,
     estimate_placed_latency,
     link_cost_us,
 )
-from .timed import TimedMultiServer, slice_subgraph
+from .timed import TimedMultiServer
 
 __all__ = [
     "NshTag",

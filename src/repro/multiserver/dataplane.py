@@ -26,37 +26,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.graph import MergeOp, ORIGINAL_VERSION, ServiceGraph
-from ..core.partition import ServerSlice, partition_graph
-from ..dataplane.merging import apply_merge_ops
+from ..core.closures import CompiledGraph
+from ..core.graph import ORIGINAL_VERSION, ServiceGraph
+from ..core.partition import ServerSlice, partition_graph, slice_subgraph
 from ..net.headers import ETH_HEADER_LEN
-from ..net.packet import HEADER_COPY_BYTES, Packet, PacketMeta
+from ..net.packet import Packet, PacketMeta
 from ..nfs.base import NetworkFunction
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .nsh import NshTag, decapsulate, encapsulate
 
-__all__ = ["ServerStage", "MultiServerDataplane", "slice_merge_ops"]
-
-
-def slice_merge_ops(graph: ServiceGraph, server_slice: ServerSlice) -> List[MergeOp]:
-    """The merge operations whose source versions live in this slice.
-
-    Copy versions are stage-local, so each graph MO belongs to exactly
-    one slice -- the one holding the stage where its source version
-    runs.
-    """
-    local_versions = {
-        entry.version
-        for stage in server_slice.stages
-        for entry in stage
-        if entry.version != ORIGINAL_VERSION
-    }
-    return [op for op in graph.merge_ops if op.src_version in local_versions]
+__all__ = ["ServerStage", "MultiServerDataplane"]
 
 
 class ServerStage:
-    """One server running a slice of a partitioned graph."""
+    """One server running a slice of a partitioned graph.
+
+    The slice compiles once, as a standalone graph
+    (:func:`~repro.core.partition.slice_subgraph`), and binds once to
+    the server's NF instances; replacing an entry of ``nfs`` afterwards
+    does not reach the bound closure.
+    """
 
     def __init__(
         self,
@@ -66,7 +56,6 @@ class ServerStage:
     ):
         self.graph = graph
         self.slice = server_slice
-        self.merge_ops = slice_merge_ops(graph, server_slice)
         names = server_slice.nf_names()
         if nf_instances is None:
             from ..nfs.base import create_nf
@@ -81,42 +70,15 @@ class ServerStage:
         if missing:
             raise ValueError(f"missing NF instances: {missing}")
         self.nfs = nf_instances
+        self._run = CompiledGraph(slice_subgraph(graph, server_slice)).bind(
+            nf_instances, {name: 1 for name in names}, {})
         self.processed = 0
         self.dropped = 0
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         """Run the slice; returns the merged v1 or ``None`` on drop."""
         self.processed += 1
-        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
-        global_offset = self.graph.stages.index(self.slice.stages[0])
-
-        for local_index, stage in enumerate(self.slice.stages):
-            stage_index = global_offset + local_index
-            for copy in self.graph.copies:
-                if copy.stage_index != stage_index:
-                    continue
-                base = versions[ORIGINAL_VERSION]
-                if base.nil:
-                    versions[copy.version] = base.make_nil()
-                elif copy.header_only:
-                    versions[copy.version] = base.header_copy(
-                        copy.version, HEADER_COPY_BYTES
-                    )
-                else:
-                    versions[copy.version] = base.full_copy(copy.version)
-
-            newly_dropped = []
-            for entry in stage:
-                buffer = versions[entry.version]
-                if buffer.nil:
-                    continue
-                ctx = self.nfs[entry.node.name].handle(buffer)
-                if ctx.dropped:
-                    newly_dropped.append(entry.version)
-            for version in newly_dropped:
-                versions[version] = versions[version].make_nil()
-
-        merged = apply_merge_ops(versions, self.merge_ops)
+        merged = self._run(pkt)
         if merged is None:
             self.dropped += 1
         return merged

@@ -18,36 +18,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.graph import ServiceGraph
-from ..core.partition import ServerSlice, partition_graph
-from ..core.graph import CopySpec
+from ..core.partition import ServerSlice, partition_graph, slice_subgraph
 from ..dataplane.server import NFPServer
 from ..net.packet import Packet
 from ..sim import Environment, SimParams
-from .dataplane import slice_merge_ops
 from .nsh import NshTag, decapsulate, encapsulate
 
-__all__ = ["slice_subgraph", "TimedMultiServer"]
-
-
-def slice_subgraph(graph: ServiceGraph, server_slice: ServerSlice) -> ServiceGraph:
-    """A slice re-expressed as a standalone service graph.
-
-    Stage indices of copy specs are rebased to the slice; merge ops are
-    restricted to the slice's copy versions (v1 carries everything else
-    onward).
-    """
-    offset = graph.stages.index(server_slice.stages[0])
-    copies = [
-        CopySpec(c.stage_index - offset, c.version, c.header_only)
-        for c in graph.copies
-        if 0 <= c.stage_index - offset < len(server_slice.stages)
-    ]
-    return ServiceGraph(
-        server_slice.stages,
-        copies=copies,
-        merge_ops=slice_merge_ops(graph, server_slice),
-        name=f"{graph.name}[server{server_slice.server_index}]",
-    )
+__all__ = ["TimedMultiServer"]
 
 
 class _Link:

@@ -43,8 +43,8 @@ class LatencySummary:
     """The summary quantities the paper's figures plot, in one place.
 
     Built by :func:`summarize`; the single source every consumer
-    (`eval.harness`, `eval.load_sweep`, `telemetry.histogram`) shares
-    instead of re-deriving mean/percentiles ad hoc.
+    (`eval.harness`, `eval.load_sweep`) shares instead of re-deriving
+    mean/percentiles ad hoc.
     """
 
     count: int

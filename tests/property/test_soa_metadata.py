@@ -1,12 +1,11 @@
-"""Property tests: SoA metadata words round-trip every field boundary.
+"""Property tests: the 64-bit metadata word round-trips every field boundary.
 
-The batched plane keeps MID|PID|version in flat 64-bit words
-(:mod:`repro.net.metadata`) instead of per-packet objects; these
-properties pin (1) pack/unpack round-trips over the full field ranges
-with the boundary values always included, (2) bit-compatibility with
-``PacketMeta.pack``/``unpack``, (3) range validation on both ends, and
-(4) that the compiler's 15-concurrent-version ceiling -- the 4-bit
-version field the words encode -- still trips at 16.
+Every plane stamps MID|PID|version (Fig. 5) as a
+:class:`~repro.net.packet.PacketMeta`; these properties pin (1)
+pack/unpack round-trips over the full field ranges with the boundary
+values always included, (2) the word's bit layout, (3) range validation
+on both ends, and (4) that the compiler's 15-concurrent-version ceiling
+-- the 4-bit version field of the word -- still trips at 16.
 """
 
 import pytest
@@ -18,8 +17,11 @@ from repro.core.compiler import MAX_VERSIONS
 from repro.core.actions import Action, ActionProfile, Verb
 from repro.core.orchestrator import Orchestrator
 from repro.core.policy import Policy
-from repro.net import Field, MetaArray, PacketMeta, pack_word, unpack_word
-from repro.net.metadata import MAX_MID, MAX_PID, MAX_VERSION
+from repro.net import Field, PacketMeta
+
+MAX_MID = (1 << PacketMeta.MID_BITS) - 1
+MAX_PID = (1 << PacketMeta.PID_BITS) - 1
+MAX_VERSION = (1 << PacketMeta.VERSION_BITS) - 1
 
 #: Each field strategy mixes uniform draws with the exact boundaries, so
 #: every run exercises 0 and the field maximum.
@@ -30,37 +32,22 @@ pids = st.one_of(st.sampled_from([0, 1, MAX_PID - 1, MAX_PID]),
 versions = st.integers(min_value=0, max_value=MAX_VERSION)
 
 
+def _fields(word):
+    meta = PacketMeta.unpack(word)
+    return meta.mid, meta.pid, meta.version
+
+
 @settings(max_examples=200, deadline=None)
 @given(mid=mids, pid=pids, version=versions)
 def test_pack_unpack_round_trips(mid, pid, version):
-    assert unpack_word(pack_word(mid, pid, version)) == (mid, pid, version)
+    assert _fields(PacketMeta(mid, pid, version).pack()) == (mid, pid, version)
 
 
 @settings(max_examples=200, deadline=None)
 @given(mid=mids, pid=pids, version=versions)
 def test_word_layout_matches_packet_meta(mid, pid, version):
-    meta = PacketMeta(mid=mid, pid=pid, version=version)
-    word = pack_word(mid, pid, version)
-    assert word == meta.pack()
-    unpacked = PacketMeta.unpack(word)
-    assert (unpacked.mid, unpacked.pid, unpacked.version) == \
-        (mid, pid, version)
-
-
-@settings(max_examples=100, deadline=None)
-@given(mid=mids, pid=pids, version=versions)
-def test_meta_array_field_accessors_agree(mid, pid, version):
-    arr = MetaArray()
-    slot = arr.append(mid, pid, version)
-    assert (arr.mid(slot), arr.pid(slot), arr.version(slot)) == \
-        (mid, pid, version)
-    meta = arr.as_meta(slot)
-    assert (meta.mid, meta.pid, meta.version) == (mid, pid, version)
-    # set_word overwrites in place; clear resets the batch.
-    arr.set_word(slot, pack_word(0, 0, 1))
-    assert arr.word(slot) == pack_word(0, 0, 1)
-    arr.clear()
-    assert len(arr) == 0
+    word = PacketMeta(mid=mid, pid=pid, version=version).pack()
+    assert word == (mid << 44) | (pid << 4) | version
 
 
 @pytest.mark.parametrize("mid,pid,version", [
@@ -73,23 +60,23 @@ def test_meta_array_field_accessors_agree(mid, pid, version):
 ])
 def test_pack_word_rejects_out_of_range_fields(mid, pid, version):
     with pytest.raises(ValueError):
-        pack_word(mid, pid, version)
+        PacketMeta(mid, pid, version)
 
 
 @pytest.mark.parametrize("word", [-1, 1 << 64])
 def test_unpack_word_rejects_non_64_bit_words(word):
     with pytest.raises(ValueError):
-        unpack_word(word)
+        PacketMeta.unpack(word)
 
 
 def test_word_boundaries_round_trip_exactly():
     for mid in (0, MAX_MID):
         for pid in (0, MAX_PID):
             for version in (0, MAX_VERSION):
-                word = pack_word(mid, pid, version)
+                word = PacketMeta(mid, pid, version).pack()
                 assert word < (1 << 64)
-                assert unpack_word(word) == (mid, pid, version)
-    assert pack_word(MAX_MID, MAX_PID, MAX_VERSION) == (1 << 64) - 1
+                assert _fields(word) == (mid, pid, version)
+    assert PacketMeta(MAX_MID, MAX_PID, MAX_VERSION).pack() == (1 << 64) - 1
 
 
 # --------------------------------------------- compiler version ceiling
@@ -107,7 +94,7 @@ def _same_field_writers(n):
 
 
 def test_version_ceiling_is_the_soa_field_maximum():
-    # The compiler's ceiling and the word encoding's maximum are the
+    # The compiler's ceiling and the word's version maximum are the
     # same number -- 15 concurrent versions fit, 16 cannot be encoded.
     assert MAX_VERSIONS == MAX_VERSION
 
@@ -117,7 +104,7 @@ def test_fifteen_concurrent_versions_compile_and_encode():
     graph = orch.compile(policy).graph
     assert graph.num_versions == MAX_VERSIONS
     for version in range(1, MAX_VERSIONS + 1):
-        assert unpack_word(pack_word(1, 1, version))[2] == version
+        assert _fields(PacketMeta(1, 1, version).pack())[2] == version
 
 
 def test_sixteen_concurrent_versions_still_trip_the_ceiling():
@@ -125,4 +112,4 @@ def test_sixteen_concurrent_versions_still_trip_the_ceiling():
     with pytest.raises(CompileError):
         orch.compile(policy)
     with pytest.raises(ValueError):
-        pack_word(1, 1, MAX_VERSIONS + 1)
+        PacketMeta(1, 1, MAX_VERSIONS + 1)

@@ -1,18 +1,18 @@
 """Unit tests for install-time action-closure compilation.
 
-:class:`repro.core.closures.CompiledGraph` is the batched plane's inner
-loop: the FT/MO walk flattened per (graph, stage) at install time, bound
-to concrete NF instances per flow.  These tests pin the program layout,
-the sequential fast path, parallel-closure equivalence against the
-functional plane, copy counters, and the ChainingManager's install-time
-compilation cache.
+:class:`repro.core.closures.CompiledGraph` is the one executor of graph
+semantics: the FT/MO walk flattened per (graph, stage) at install time,
+bound to concrete NF instances per flow.  These tests pin the program
+layout, the sequential fast path, bound-closure equivalence against the
+independent sequential oracle, copy counters, and the ChainingManager's
+install-time compilation cache.
 """
 
 import pytest
 
 from repro.core import CompiledGraph, CopyCounters, Orchestrator, Policy
 from repro.core.tables import build_tables
-from repro.dataplane import ChainingManager, FunctionalDataplane, instantiate_nfs
+from repro.dataplane import ChainingManager, SequentialReference, instantiate_nfs
 from repro.eval.forced import forced_parallel, forced_sequential
 from repro.traffic import FlowGenerator
 
@@ -51,8 +51,10 @@ def test_parallel_graph_program_mirrors_copy_declarations():
     lambda: forced_parallel(["firewall", "monitor"], with_copy=False),
     lambda: forced_parallel(["firewall", "firewall"], with_copy=True),
 ])
-def test_bound_closure_matches_functional_plane(factory):
-    reference = FunctionalDataplane(factory())
+def test_bound_closure_matches_sequential_reference(factory):
+    # Read-only firewall/monitor graphs: running the same NFs in chain
+    # order is the independent oracle for the parallel closure.
+    reference = SequentialReference(instantiate_nfs(factory()).values())
     graph = factory()
     compiled = CompiledGraph(graph)
     nfs = instantiate_nfs(graph)
@@ -79,15 +81,6 @@ def test_copy_counters_increment_through_the_closure():
         runner(pkt)
     assert counters.copies_header + counters.copies_full == \
         8 * len(graph.copies)
-
-
-def test_labels_resolve_scaled_instances():
-    graph = forced_sequential(["ids"])
-    compiled = CompiledGraph(graph)
-    name = graph.nf_names()[0]
-    assert compiled.labels({name: 1}, {}) == (name,)
-    assert compiled.labels({name: 4}, {name: 2}) == (f"{name}#2",)
-    assert compiled.labels({name: 4}, {}) == (f"{name}#0",)
 
 
 def test_scaled_bind_calls_the_assigned_instance():

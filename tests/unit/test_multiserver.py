@@ -7,6 +7,7 @@ from repro.multiserver import (
     NSH_LEN,
     MultiServerDataplane,
     NshTag,
+    ServerStage,
     decapsulate,
     encapsulate,
     has_nsh,
@@ -132,10 +133,13 @@ def test_multiserver_drop_suppresses_downstream_work():
     graph = graph_for(["firewall", "monitor", "nat", "vpn"])
     multi = MultiServerDataplane(graph, cores_per_server=4)
     assert multi.num_servers >= 2
-    # Replace the firewall with a deny-all instance.
+    # Rebuild the first server around a deny-all firewall (a stage
+    # binds its NF instances at construction).
     fw_server = multi.servers[0]
     fw_name = next(n for n in fw_server.nfs if n.startswith("firewall"))
-    fw_server.nfs[fw_name] = Firewall(name=fw_name, acl=[AclRule(permit=False)])
+    nfs = dict(fw_server.nfs)
+    nfs[fw_name] = Firewall(name=fw_name, acl=[AclRule(permit=False)])
+    multi.servers[0] = ServerStage(graph, multi.slices[0], nf_instances=nfs)
 
     for i in range(10):
         assert multi.process(build_packet(src_port=i, size=96)) is None

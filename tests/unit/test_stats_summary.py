@@ -69,12 +69,3 @@ def test_no_warning_when_warmup_disabled_or_effective():
             effective.record(float(value))
         assert effective.warmup_effective
         assert effective.mean > 0
-
-
-def test_telemetry_histogram_module_reexports_single_source():
-    from repro.sim import stats as sim_stats
-    from repro.telemetry import histogram as tele_histogram
-
-    assert tele_histogram.percentile is sim_stats.percentile
-    assert tele_histogram.summarize is sim_stats.summarize
-    assert tele_histogram.LatencySummary is sim_stats.LatencySummary
